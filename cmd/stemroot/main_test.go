@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,6 +13,16 @@ import (
 	"stemroot/internal/rng"
 	"stemroot/internal/trace"
 )
+
+// TestMain lets a test re-run this test binary as the stemroot command
+// itself (STEMROOT_RUN_MAIN=1), so CLI tests can observe the exit status.
+func TestMain(m *testing.M) {
+	if os.Getenv("STEMROOT_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // writeProfile emits a synthetic profile CSV with two well-separated gemm
 // contexts and a stable relu.
@@ -300,5 +312,30 @@ func TestRunSimulateRejectsStream(t *testing.T) {
 	var buf strings.Builder
 	if err := run(cfg, &buf); err == nil {
 		t.Fatal("expected -simulate/-stream conflict error")
+	}
+}
+
+// TestBadTimeExitsNonZero pins the one ingest boundary at the CLI: batch
+// and -stream refuse the same profile with a NaN, infinite or negative time
+// and exit non-zero, naming the offending data row.
+func TestBadTimeExitsNonZero(t *testing.T) {
+	for _, bad := range []string{"NaN", "+Inf", "-3"} {
+		path := filepath.Join(t.TempDir(), "bad.csv")
+		body := "seq,name,time_us\n0,gemm,5\n1,gemm," + bad + "\n2,relu,1\n"
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{{"-profile", path}, {"-stream", "-profile", path}} {
+			cmd := exec.Command(os.Args[0], args...)
+			cmd.Env = append(os.Environ(), "STEMROOT_RUN_MAIN=1")
+			out, err := cmd.CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+				t.Fatalf("stemroot %v with time %s: err %v, want non-zero exit\n%s", args, bad, err, out)
+			}
+			if !strings.Contains(string(out), "row 2:") {
+				t.Fatalf("stemroot %v with time %s: error does not name row 2:\n%s", args, bad, out)
+			}
+		}
 	}
 }

@@ -121,22 +121,6 @@ func TestWriteCSVRoundTrip(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-
-	// And through the fast byte-level reader, identically.
-	fr := trace.NewFastCSVReader(bytes.NewReader(buf.Bytes()))
-	j := 0
-	if err := fr.Scan(func(name string, v float64) bool {
-		if names[j] != name || times[j] != v {
-			t.Fatalf("fast row %d differs", j)
-		}
-		j++
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if j != 3000 {
-		t.Fatalf("fast reader rows %d", j)
-	}
 }
 
 func TestStreamBatchDependence(t *testing.T) {

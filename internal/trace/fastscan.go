@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"unsafe"
@@ -19,7 +20,9 @@ import (
 // containing a '"' fall back to encoding/csv for identical quote
 // semantics. Multi-line quoted records (a newline inside a quoted field)
 // are not supported by the line-oriented fast readers and surface as a
-// parse error.
+// parse error. ScanBytes is the one profile ingest boundary: the batch
+// ReadProfileCSV and the streaming CLI both decode through it, so both
+// apply the same header check and the same time validation (checkTime).
 
 // ErrFieldCount reports a data row whose comma count is not exactly three
 // fields.
@@ -162,10 +165,20 @@ func validateHeader(line []byte) error {
 	return nil
 }
 
+// checkTime rejects a measured time that is NaN, infinite or negative; row
+// is the 1-based data row, for the error message.
+func checkTime(row int, t float64) error {
+	if t >= 0 && !math.IsInf(t, 1) {
+		return nil
+	}
+	return fmt.Errorf("trace: row %d: time %v must be finite and non-negative", row, t)
+}
+
 // ScanBytes yields every (name, time) row in order. The name slice is only
 // valid during the yield call — the zero-alloc contract: callers that need
 // to retain it must copy (e.g. via an interning symbol table). Blank lines
-// are skipped, matching encoding/csv.
+// are skipped, matching encoding/csv. A time that is NaN, infinite or
+// negative is an error naming its 1-based data row.
 func (fr *FastCSVReader) ScanBytes(yield func(name []byte, timeUS float64) bool) error {
 	line, err := fr.readLine()
 	if err != nil {
@@ -174,6 +187,7 @@ func (fr *FastCSVReader) ScanBytes(yield func(name []byte, timeUS float64) bool)
 	if err := validateHeader(line); err != nil {
 		return err
 	}
+	row := 0
 	for {
 		line, err := fr.readLine()
 		if err == io.EOF {
@@ -185,23 +199,18 @@ func (fr *FastCSVReader) ScanBytes(yield func(name []byte, timeUS float64) bool)
 		if len(trimLineEnd(line)) == 0 {
 			continue
 		}
+		row++
 		name, t, err := ParseProfileRecord(line)
 		if err != nil {
+			return err
+		}
+		if err := checkTime(row, t); err != nil {
 			return err
 		}
 		if !yield(name, t) {
 			return nil
 		}
 	}
-}
-
-// Scan adapts ScanBytes to string names (allocating one string conversion
-// per row — use ScanBytes with an interning consumer for the zero-alloc
-// path).
-func (fr *FastCSVReader) Scan(yield func(name string, timeUS float64) bool) error {
-	return fr.ScanBytes(func(name []byte, t float64) bool {
-		return yield(string(name), t)
-	})
 }
 
 // FastCSVScanner is the re-scannable, file-backed profile source built on

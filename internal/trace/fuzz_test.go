@@ -6,25 +6,55 @@ import (
 	"testing"
 )
 
-// FuzzReadProfileCSV checks the profile parser never panics and that every
-// accepted profile round-trips through the writer.
+// FuzzReadProfileCSV holds the production decoder to the encoding/csv
+// reference: it never panics, every profile it accepts has finite,
+// non-negative times, and on quote-free input it accepts exactly what the
+// reference accepts with valid times, row for row. (Quoted fields differ
+// only on a field spanning lines; TestMultilineQuotedFieldRejected pins
+// that.)
 func FuzzReadProfileCSV(f *testing.F) {
 	f.Add([]byte("seq,name,time_us\n0,gemm,1.5\n1,relu,2\n"))
 	f.Add([]byte("seq,name,time_us\n"))
 	f.Add([]byte("bogus"))
 	f.Add([]byte("seq,name,time_us\n0,k,notanumber\n"))
 	f.Add([]byte("seq,name,time_us\n0,\"quoted,name\",3.25\n"))
+	f.Add([]byte("seq,name,time_us\n0,\"two\nlines\",3.25\n"))
+	f.Add([]byte("seq,name,time_us\r\n0,a,NaN\r\n"))
+	f.Add([]byte("seq,name,time_us\n\n0,a,1\n1,a,-Inf\n"))
+	f.Add([]byte("seq,name,time_us\n0,a,-0\n1,b,-2"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		names, times, err := ReadProfileCSV(bytes.NewReader(data))
-		if err != nil {
+		if err == nil {
+			if len(names) != len(times) {
+				t.Fatalf("accepted profile with %d names, %d times", len(names), len(times))
+			}
+			for i, v := range times {
+				if !(v >= 0) || math.IsInf(v, 1) {
+					t.Fatalf("accepted time %v at row %d\ninput: %q", v, i+1, data)
+				}
+			}
+		}
+		if bytes.IndexByte(data, '"') >= 0 {
 			return
 		}
-		if len(names) != len(times) {
-			t.Fatalf("accepted profile with %d names, %d times", len(names), len(times))
+		refNames, refTimes, refErr := readProfileCSVReference(bytes.NewReader(data))
+		refValid := refErr == nil
+		for _, v := range refTimes {
+			refValid = refValid && v >= 0 && !math.IsInf(v, 1)
 		}
-		for _, v := range times {
-			if math.IsNaN(v) {
-				return // NaN literals parse; the planner validates later
+		if refValid != (err == nil) {
+			t.Fatalf("decoder err %v, reference err %v, reference times %v\ninput: %q", err, refErr, refTimes, data)
+		}
+		if !refValid {
+			return
+		}
+		if len(names) != len(refNames) {
+			t.Fatalf("row count %d, reference %d\ninput: %q", len(names), len(refNames), data)
+		}
+		for i := range refNames {
+			if names[i] != refNames[i] || times[i] != refTimes[i] {
+				t.Fatalf("row %d: (%q,%v), reference (%q,%v)\ninput: %q",
+					i+1, names[i], times[i], refNames[i], refTimes[i], data)
 			}
 		}
 	})

@@ -17,7 +17,8 @@ type CSVScanner struct {
 }
 
 // Scan implements the streaming-profile interface: it yields every
-// (name, time) row in file order.
+// (name, time) row in file order, under the same time validation as the
+// byte-level decoder.
 func (s CSVScanner) Scan(yield func(name string, timeUS float64) bool) error {
 	f, err := os.Open(s.Path)
 	if err != nil {
@@ -35,7 +36,7 @@ func (s CSVScanner) Scan(yield func(name string, timeUS float64) bool) error {
 	if header[0] != "seq" || header[1] != "name" || header[2] != "time_us" {
 		return fmt.Errorf("trace: unexpected csv header %v", header)
 	}
-	for {
+	for row := 1; ; row++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			return nil
@@ -46,6 +47,9 @@ func (s CSVScanner) Scan(yield func(name string, timeUS float64) bool) error {
 		t, err := strconv.ParseFloat(rec[2], 64)
 		if err != nil {
 			return fmt.Errorf("trace: parse time %q: %w", rec[2], err)
+		}
+		if err := checkTime(row, t); err != nil {
+			return err
 		}
 		if !yield(rec[1], t) {
 			return nil

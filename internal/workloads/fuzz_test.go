@@ -2,19 +2,56 @@ package workloads
 
 import (
 	"bytes"
+	"encoding/csv"
+	"fmt"
+	"io"
 	"math"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"stemroot/internal/trace"
 )
 
+// readProfileCSVReference is an encoding/csv profile parser, the oracle
+// trace.ReadProfileCSV is checked against (the trace package keeps the same
+// oracle in its tests; test helpers do not cross packages). It validates no
+// times.
+func readProfileCSVReference(in io.Reader) (names []string, times []float64, err error) {
+	cr := csv.NewReader(in)
+	cr.FieldsPerRecord = 3
+	header, err := cr.Read()
+	if err != nil {
+		return nil, nil, err
+	}
+	if header[0] != "seq" || header[1] != "name" || header[2] != "time_us" {
+		return nil, nil, fmt.Errorf("unexpected csv header %v", header)
+	}
+	for {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			return names, times, nil
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		t, err := strconv.ParseFloat(rec[2], 64)
+		if err != nil {
+			return nil, nil, err
+		}
+		names = append(names, rec[1])
+		times = append(times, t)
+	}
+}
+
 // FuzzFromProfile hardens the profile ingestion path end to end: arbitrary
-// CSV bytes are parsed with both the encoding/csv-based reader and the new
-// byte-level fast decoder, the two must agree bit-identically whenever the
-// old parser accepts the input, and whatever rows come out must build a
-// workload without panicking — malformed, truncated, or huge-field lines
-// included.
+// CSV bytes go through the production decoder (trace.ReadProfileCSV) and
+// the encoding/csv reference. On quote-free input the decoder must accept
+// exactly what the reference accepts with finite, non-negative times, and
+// produce the identical rows. Whatever it accepts must build a workload
+// without panicking — malformed, truncated, or huge-field lines included —
+// bit-identical to the map-based reference reconstruction.
 func FuzzFromProfile(f *testing.F) {
 	f.Add([]byte("seq,name,time_us\n0,gemm,1.5\n1,relu,2\n"))
 	f.Add([]byte("seq,name,time_us\r\n0,a,1e3\r\n"))
@@ -27,62 +64,34 @@ func FuzzFromProfile(f *testing.F) {
 	f.Add([]byte("not,a,header\n0,a,1\n"))
 	f.Add([]byte(""))
 	f.Add([]byte("seq,name,time_us\n0,a,1")) // no trailing newline
+	f.Add([]byte("seq,name,time_us\n0,a,0\n1,b,4\n2,a,0\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Old parser: encoding/csv based. May reject; must not panic.
-		oldNames, oldTimes, oldErr := trace.ReadProfileCSV(bytes.NewReader(data))
+		names, times, err := trace.ReadProfileCSV(bytes.NewReader(data))
 
-		// New parser: byte-level fast decoder. Must never panic either.
-		var newNames []string
-		var newTimes []float64
-		newErr := trace.NewFastCSVReader(bytes.NewReader(data)).Scan(
-			func(name string, v float64) bool {
-				newNames = append(newNames, name)
-				newTimes = append(newTimes, v)
-				return true
-			})
-
-		// Round-trip equivalence: whenever the old parser accepts input
-		// that contains no quoting (the fast path's domain — quoted
-		// multi-line records are intentionally unsupported by the
-		// line-oriented decoder), the new one must produce the identical
-		// rows. With quotes present, the decoders may legitimately differ
-		// on malformed records, but both must still be panic-free.
-		if oldErr == nil && !bytes.ContainsRune(data, '"') {
-			if newErr != nil {
-				t.Fatalf("fast decoder rejected input the csv parser accepts: %v\ninput: %q", newErr, data)
+		if !bytes.ContainsRune(data, '"') {
+			refNames, refTimes, refErr := readProfileCSVReference(bytes.NewReader(data))
+			refValid := refErr == nil
+			for _, v := range refTimes {
+				refValid = refValid && v >= 0 && !math.IsInf(v, 1)
 			}
-			if len(newNames) != len(oldNames) {
-				t.Fatalf("row count: fast %d vs csv %d\ninput: %q", len(newNames), len(oldNames), data)
+			if refValid != (err == nil) {
+				t.Fatalf("decoder err %v, reference err %v, reference times %v\ninput: %q", err, refErr, refTimes, data)
 			}
-			for i := range oldNames {
-				sameTime := oldTimes[i] == newTimes[i] ||
-					(math.IsNaN(oldTimes[i]) && math.IsNaN(newTimes[i]))
-				if oldNames[i] != newNames[i] || !sameTime {
-					t.Fatalf("row %d: fast (%q,%v) vs csv (%q,%v)\ninput: %q",
-						i, newNames[i], newTimes[i], oldNames[i], oldTimes[i], data)
-				}
+			if refValid && (!reflect.DeepEqual(names, refNames) || !reflect.DeepEqual(times, refTimes)) {
+				t.Fatalf("decoder rows %q %v, reference %q %v\ninput: %q", names, times, refNames, refTimes, data)
 			}
 		}
 
-		// Whatever rows were produced must reconstruct into a workload
-		// without panicking, and deterministically.
-		names, times := oldNames, oldTimes
-		if oldErr != nil {
-			names, times = newNames, newTimes
-		}
-		if len(names) == 0 || len(names) > 2000 {
+		if err != nil || len(names) == 0 || len(names) > 2000 {
 			return
 		}
-		for _, v := range times {
-			if v != v || v < 0 { // NaN or negative measured times are rejected upstream
-				return
-			}
+		w := FromProfile("fuzz", names, times, 7)
+		if w.Len() != len(names) {
+			t.Fatalf("FromProfile lost invocations: %d of %d", w.Len(), len(names))
 		}
-		w1 := FromProfile("fuzz", names, times, 7)
-		w2 := FromProfile("fuzz", names, times, 7)
-		if w1.Len() != len(names) || w2.Len() != w1.Len() {
-			t.Fatalf("FromProfile lost invocations: %d of %d", w1.Len(), len(names))
+		if !reflect.DeepEqual(w, fromProfileReference("fuzz", names, times, 7)) {
+			t.Fatalf("FromProfile differs from the reference\ninput: %q", data)
 		}
 	})
 }

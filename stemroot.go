@@ -27,6 +27,7 @@ package stemroot
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"stemroot/internal/core"
 	"stemroot/internal/stats"
@@ -103,8 +104,8 @@ type Plan struct {
 
 // Sample builds a STEM+ROOT sampling plan from a kernel-level profile:
 // names[i] and timesUS[i] describe invocation i of the workload in
-// chronological order. Times must be non-negative; the two slices must have
-// equal nonzero length.
+// chronological order. Times must be finite and non-negative; the two
+// slices must have equal nonzero length.
 func Sample(names []string, timesUS []float64, opts Options) (*Plan, error) {
 	if len(names) == 0 {
 		return nil, errors.New("stemroot: empty profile")
@@ -113,8 +114,8 @@ func Sample(names []string, timesUS []float64, opts Options) (*Plan, error) {
 		return nil, fmt.Errorf("stemroot: %d names for %d times", len(names), len(timesUS))
 	}
 	for i, t := range timesUS {
-		if t < 0 {
-			return nil, fmt.Errorf("stemroot: negative time at invocation %d", i)
+		if !(t >= 0) || math.IsInf(t, 1) {
+			return nil, fmt.Errorf("stemroot: time %v at invocation %d must be finite and non-negative", t, i)
 		}
 	}
 	p := opts.params()

@@ -41,8 +41,10 @@ func TestSampleValidation(t *testing.T) {
 	if _, err := Sample([]string{"a"}, []float64{1, 2}, Options{}); err == nil {
 		t.Fatal("expected error for mismatched lengths")
 	}
-	if _, err := Sample([]string{"a"}, []float64{-1}, Options{}); err == nil {
-		t.Fatal("expected error for negative time")
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Sample([]string{"a", "a"}, []float64{1, bad}, Options{}); err == nil {
+			t.Fatalf("expected error for time %v", bad)
+		}
 	}
 	if _, err := Sample([]string{"a"}, []float64{1}, Options{Epsilon: 2}); err == nil {
 		t.Fatal("expected error for bad epsilon")
