@@ -14,13 +14,11 @@
 // of re-simulating them. Output is bit-identical with and without any cache
 // tier (a dead or corrupt server degrades to local behavior); -nocache
 // disables caching entirely, and the per-tier hit/miss/byte counters land on
-// stderr unless -cachestats=false. -engine par runs additionally report
-// epoch-barrier accounting (compute vs merge time, replayed accesses,
-// misses) to stderr unless -barrierstats=false.
+// stderr unless -cachestats=false.
 //
 // Experiment ids: table2, fig1, fig7, fig8, fig9, fig10, fig11, fig12,
 // fig13, fig14, table3, table4 (alias: dse), table5, flush, kkt, rootk,
-// root, warmup, multigpu, confidence, epochsweep, all.
+// root, warmup, multigpu, confidence, all.
 package main
 
 import (
@@ -35,8 +33,6 @@ import (
 
 	"stemroot/internal/cachenet"
 	"stemroot/internal/experiments"
-	"stemroot/internal/gpu"
-	"stemroot/internal/metrics"
 	"stemroot/internal/simcache"
 	"stemroot/internal/workloads"
 )
@@ -50,11 +46,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "seed")
 	reps := flag.Int("reps", 0, "override repetitions (0 = scale default)")
 	jobs := flag.Int("j", 0, "worker count (0 = one per CPU, 1 = serial; results are identical)")
-	engine := flag.String("engine", "exact", "kernel engine: exact (bit-exact event loop) or par (relaxed-sync intra-kernel parallel)")
-	jkernel := flag.Int("jkernel", 0, "intra-kernel workers for -engine par (0 = one per CPU; never changes results)")
-	jmerge := flag.Int("jmerge", 0, "epoch-barrier merge workers for -engine par (0 = follow -jkernel; never changes results)")
-	epoch := flag.Float64("epoch", 0, "epoch length in cycles for -engine par (0 = default; trades accuracy for sync cost)")
-	barrierStats := flag.Bool("barrierstats", true, "print epoch-barrier accounting to stderr after -engine par runs")
 	cacheDir := flag.String("cachedir", "", "persist segment results on disk in this directory (reused across runs)")
 	cacheAddr := flag.String("cacheaddr", "", "share segment results through the cacheserver at this address (host:port)")
 	cacheMB := flag.Int("cachemb", 0, "in-memory segment cache bound in MiB (0 = default 256)")
@@ -90,19 +81,8 @@ func main() {
 	}
 	cfg.Seed = *seed
 	cfg.Parallelism = *jobs
-	cfg.Engine = *engine
-	cfg.KernelWorkers = *jkernel
-	cfg.MergeWorkers = *jmerge
-	cfg.Epoch = *epoch
 	if *reps > 0 {
 		cfg.Reps = *reps
-	}
-	// Barrier accounting, like cache stats, is stderr-only observability:
-	// stdout stays byte-identical whether or not it is collected.
-	if *barrierStats && cfg.Engine == gpu.EngineModePar {
-		collector := new(metrics.BarrierCollector)
-		cfg.BarrierStats = collector
-		defer func() { log.Print(collector.Snapshot().String()) }()
 	}
 	// The segment cache is on by default: results are bit-identical with and
 	// without it (pinned by the determinism tests), so there is no accuracy
@@ -299,14 +279,6 @@ func runExperiments(cfg experiments.Config, run string, out io.Writer) error {
 			var res *experiments.ConfidenceResult
 			if res, err = experiments.Confidence(cfg, 100); err == nil {
 				rendered = res.Render()
-			}
-		case "epochsweep":
-			var res *experiments.EpochSweepResult
-			if res, err = experiments.EpochSweep(cfg); err == nil {
-				rendered = res.Render()
-				// Wall clock is the one nondeterministic output; stderr
-				// keeps stdout byte-identical at any -j/-jkernel.
-				fmt.Fprint(os.Stderr, res.RenderTiming())
 			}
 		default:
 			return fmt.Errorf("unknown experiment %q", id)

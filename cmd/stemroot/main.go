@@ -35,7 +35,6 @@ import (
 	"stemroot/internal/gpu"
 	"stemroot/internal/hwmodel"
 	"stemroot/internal/kernelgen"
-	"stemroot/internal/metrics"
 	"stemroot/internal/pipeline"
 	"stemroot/internal/sampling"
 	"stemroot/internal/simcache"
@@ -45,29 +44,24 @@ import (
 
 // cliConfig carries the parsed flags.
 type cliConfig struct {
-	profilePath  string
-	epsilon      float64
-	confidence   float64
-	seed         uint64
-	flat         bool
-	stream       bool
-	snapshot     int
-	tdist        bool
-	jobs         int
-	planOut      string
-	verbose      bool
-	simulate     bool
-	simCalls     int
-	cacheDir     string
-	cacheAddr    string
-	cacheMB      int
-	noCache      bool
-	cacheStats   bool
-	engine       string
-	jkernel      int
-	jmerge       int
-	epoch        float64
-	barrierStats bool
+	profilePath string
+	epsilon     float64
+	confidence  float64
+	seed        uint64
+	flat        bool
+	stream      bool
+	snapshot    int
+	tdist       bool
+	jobs        int
+	planOut     string
+	verbose     bool
+	simulate    bool
+	simCalls    int
+	cacheDir    string
+	cacheAddr   string
+	cacheMB     int
+	noCache     bool
+	cacheStats  bool
 
 	stdin io.Reader // -profile - source; os.Stdin outside tests
 }
@@ -95,11 +89,6 @@ func main() {
 	flag.IntVar(&cfg.cacheMB, "cachemb", 0, "in-memory segment cache bound in MiB (0 = default 256)")
 	flag.BoolVar(&cfg.noCache, "nocache", false, "disable the segment-result cache in -simulate mode")
 	flag.BoolVar(&cfg.cacheStats, "cachestats", true, "print per-tier cache counters to stderr after -simulate")
-	flag.StringVar(&cfg.engine, "engine", "exact", "-simulate kernel engine: exact (bit-exact event loop) or par (relaxed-sync intra-kernel parallel)")
-	flag.IntVar(&cfg.jkernel, "jkernel", 0, "intra-kernel workers for -engine par (0 = one per CPU; never changes results)")
-	flag.IntVar(&cfg.jmerge, "jmerge", 0, "epoch-barrier merge workers for -engine par (0 = follow -jkernel; never changes results)")
-	flag.Float64Var(&cfg.epoch, "epoch", 0, "epoch length in cycles for -engine par (0 = default; trades accuracy for sync cost)")
-	flag.BoolVar(&cfg.barrierStats, "barrierstats", true, "print epoch-barrier accounting to stderr after -engine par -simulate runs")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this path on exit")
 	flag.Parse()
@@ -361,18 +350,7 @@ func simulateProfile(cfg cliConfig, names []string, times []float64, out io.Writ
 		workloads.FromProfile(filepath.Base(cfg.profilePath), names, times, cfg.seed),
 		cfg.simCalls, 64)
 
-	opts := pipeline.Options{
-		Workers: cfg.jobs,
-		Engine:  cfg.engine, KernelWorkers: cfg.jkernel,
-		MergeWorkers: cfg.jmerge, Epoch: cfg.epoch,
-	}
-	if cfg.barrierStats && cfg.engine == gpu.EngineModePar {
-		// Stderr-only observability, like cache stats: stdout stays
-		// byte-comparable whether or not accounting is collected.
-		collector := new(metrics.BarrierCollector)
-		opts.BarrierStats = collector
-		defer func() { log.Print(collector.Snapshot().String()) }()
-	}
+	opts := pipeline.Options{Workers: cfg.jobs}
 	var sc *simcache.Cache
 	var client *cachenet.Client
 	if !cfg.noCache {

@@ -220,7 +220,7 @@ func BuildClusters(names []string, times []float64, p Params) []Cluster {
 		cursor[g]++
 	}
 
-	perName, _ := parallel.Map(len(order), parallel.Workers(p.Workers),
+	perName, _ := parallel.MapStealing(len(order), parallel.Workers(p.Workers),
 		func(i int) ([]Cluster, error) {
 			a := splitArenas.Get().(*splitArena)
 			defer splitArenas.Put(a)

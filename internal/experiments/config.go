@@ -15,8 +15,8 @@
 // within each variant) use parallel.MapStealing, because workload costs are
 // heavily skewed — one HuggingFace workload outweighs many Rodinia ones —
 // and work stealing rebalances stragglers that static assignment would
-// serialize behind; Confidence fans out across uniform-cost runs on plain
-// parallel.Map. The simulator-bound runners additionally inherit the
+// serialize behind; Confidence fans out across its uniform-cost runs on the
+// same scheduler. The simulator-bound runners additionally inherit the
 // pipeline's per-segment work-stealing kernel parallelism. Every work unit
 // derives its own seeds and constructs its own method/profiler instances,
 // and partial results are folded in fixed unit order, so runner output is
@@ -31,7 +31,6 @@ import (
 
 	"stemroot/internal/core"
 	"stemroot/internal/gpu"
-	"stemroot/internal/metrics"
 	"stemroot/internal/pipeline"
 	"stemroot/internal/sampling"
 )
@@ -62,47 +61,18 @@ type Config struct {
 	// points, repetitions, and variants instead of re-simulating them.
 	// Results are bit-identical with and without it. nil disables caching.
 	Cache gpu.SegmentCache
-	// Engine selects the kernel execution mode for every simulator-bound
-	// runner: "" or "exact" is gpu.RunKernel, "par" the relaxed-sync
-	// intra-kernel parallel engine (pipeline.Options.Engine). Cache keys
-	// include the mode and epoch, so exact and par runs never share entries.
-	Engine string
-	// KernelWorkers is the intra-kernel worker count for the par engine
-	// (<= 0: one per CPU). Ignored in exact mode; never affects results.
-	KernelWorkers int
-	// MergeWorkers is the par engine's epoch-barrier merge worker count
-	// (<= 0: follows KernelWorkers). Ignored in exact mode; never affects
-	// results.
-	MergeWorkers int
-	// Epoch is the par engine's epoch length in simulated cycles (<= 0:
-	// gpu.DefaultEpoch). Ignored in exact mode.
-	Epoch float64
-	// BarrierStats, when non-nil, accumulates epoch-barrier accounting
-	// from every par-mode kernel the runners execute. Observability only.
-	BarrierStats *metrics.BarrierCollector
 }
 
 // pipelineOpts builds the simulation pipeline options from the config.
 func (c Config) pipelineOpts() pipeline.Options {
-	return pipeline.Options{
-		Workers: c.Parallelism, Cache: c.Cache,
-		Engine: c.Engine, KernelWorkers: c.KernelWorkers,
-		MergeWorkers: c.MergeWorkers, Epoch: c.Epoch,
-		BarrierStats: c.BarrierStats,
-	}
+	return pipeline.Options{Workers: c.Parallelism, Cache: c.Cache}
 }
 
 // serialSimOpts builds pipeline options for runners that parallelize at the
 // workload level and therefore keep each workload's simulation serial. The
-// shared cache still applies — as does the engine mode: a runner's accuracy
-// story must not silently change with its parallelization strategy.
+// shared cache still applies.
 func (c Config) serialSimOpts() pipeline.Options {
-	return pipeline.Options{
-		Workers: 1, Cache: c.Cache,
-		Engine: c.Engine, KernelWorkers: c.KernelWorkers,
-		MergeWorkers: c.MergeWorkers, Epoch: c.Epoch,
-		BarrierStats: c.BarrierStats,
-	}
+	return pipeline.Options{Workers: 1, Cache: c.Cache}
 }
 
 // Quick returns a configuration sized for unit tests (seconds, not hours).

@@ -125,43 +125,6 @@ func (h *warpHeap) pop() heapEntry {
 	return top
 }
 
-// reheapify restores the heap property after keys were adjusted in place
-// (the parallel engine's barrier correction rewrites live keys by warp
-// slot). Floyd's bottom-up build with pop's exact descent: smaller children
-// shift up into the hole (right child only when strictly smaller, descent
-// only on strict inequality), the sifted value stores once. Plain float
-// compares, valid for any key domain; the sentinel keeps the right-child
-// probe at j+1 == n safe exactly as in pop. The rebuilt layout is a pure
-// function of the adjusted (key, slot) array, so callers that adjust keys
-// deterministically keep every later pop — including tie order — bit-for-bit
-// reproducible.
-func (h *warpHeap) reheapify() {
-	n := h.n
-	keys, slots := h.keys, h.slots
-	for i := n/2 - 1; i >= 0; i-- {
-		v := keys[i]
-		vs := slots[i]
-		pos := i
-		for {
-			j := 2*pos + 1
-			if j >= n {
-				break
-			}
-			if keys[j+1] < keys[j] { // sentinel makes the j+1 == n probe safe
-				j++
-			}
-			if !(keys[j] < v) {
-				break
-			}
-			keys[pos] = keys[j]
-			slots[pos] = slots[j]
-			pos = j
-		}
-		keys[pos] = v
-		slots[pos] = vs
-	}
-}
-
 // pushPopIsNoop reports whether pushing an entry whose ready value is
 // STRICTLY below keys[0] and immediately popping would (a) return that
 // entry and (b) leave the heap arrays bit-for-bit unchanged. It is the gate

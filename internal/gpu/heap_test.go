@@ -85,77 +85,6 @@ func TestWarpHeapMatchesContainerHeap(t *testing.T) {
 	}
 }
 
-// TestWarpHeapReheapify is the property test for the barrier-time rebuild:
-// after arbitrary in-place key perturbation (including into the negative
-// domain pushPop forbids but reheapify must handle), reheapify restores the
-// min-heap invariant, preserves the (key, slot) multiset exactly, keeps the
-// +Inf sentinel intact, and — because determinism of the par engine rests on
-// it — produces a layout that is a pure function of the input layout.
-func TestWarpHeapReheapify(t *testing.T) {
-	check := func(seed uint64) bool {
-		r := seed
-		next := func() uint64 { r = r*6364136223846793005 + 1442695040888963407; return r }
-		var h warpHeap
-		h.reset()
-		n := int(next()%64) + 1
-		for i := 0; i < n; i++ {
-			h.push(float64(next()%16), int32(i))
-		}
-		// Perturb keys in place, as the epoch barrier's correction pass does.
-		before := make(map[[2]float64]int)
-		for i := 0; i < h.n; i++ {
-			h.keys[i] += float64(int64(next()%400)) - 200 // negatives allowed here
-			before[[2]float64{h.keys[i], float64(h.slots[i])}]++
-		}
-		// A second heap with the identical perturbed layout must come out
-		// identical — reheapify is a pure function of the layout.
-		var twin warpHeap
-		twin.reset()
-		twin.keys = append(twin.keys[:0], h.keys...)
-		twin.slots = append(twin.slots[:0], h.slots...)
-		twin.n = h.n
-
-		h.reheapify()
-		twin.reheapify()
-		if h.n != n || len(h.keys) != n+1 || !math.IsInf(h.keys[n], 1) {
-			return false
-		}
-		for i := 0; i <= h.n; i++ {
-			if h.keys[i] != twin.keys[i] {
-				return false
-			}
-			if i < h.n && h.slots[i] != twin.slots[i] {
-				return false
-			}
-		}
-		// Heap invariant + multiset preservation, then sorted drain.
-		for i := 1; i < h.n; i++ {
-			if h.keys[(i-1)/2] > h.keys[i] {
-				return false
-			}
-			before[[2]float64{h.keys[i], float64(h.slots[i])}]--
-		}
-		before[[2]float64{h.keys[0], float64(h.slots[0])}]--
-		for _, c := range before {
-			if c != 0 {
-				return false
-			}
-		}
-		prev := math.Inf(-1)
-		for h.n > 0 {
-			e := h.pop()
-			if e.ready < prev {
-				return false
-			}
-			prev = e.ready
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestRunKernelSteadyStateAllocs pins the tentpole property: once the
 // scratch arena has reached its high-water mark (first call), RunKernel
 // performs no steady-state heap allocation. The budget of 2 leaves slack

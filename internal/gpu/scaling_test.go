@@ -84,75 +84,6 @@ func TestRunSegmentedStealingDeterministicSkewed(t *testing.T) {
 	}
 }
 
-// TestRunKernelParDeterministicAcrossWorkers pins the tentpole contract of
-// the intra-kernel parallel engine with REAL concurrent workers (GOMAXPROCS
-// raised so parallel.Workers does not clamp the pool to one): at a fixed
-// epoch, RunKernelPar is bit-identical for every worker count. Several
-// kernels run back-to-back on one simulator per worker count, so L2 and
-// arena state persist across kernels and any divergence compounds instead of
-// hiding. Under -race this also proves the SM shards and the barrier
-// coordinator share nothing unsynchronized.
-func TestRunKernelParDeterministicAcrossWorkers(t *testing.T) {
-	unclampProcs(t, 8)
-	cfg := gpu.Baseline()
-	lim := kernelgen.DSELimits()
-	specAt := skewedSpecAt(lim)
-	const kernels = 6
-
-	run := func(workers int) []gpu.KernelResult {
-		sim, err := gpu.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]gpu.KernelResult, 0, kernels)
-		for i := 0; i < kernels; i++ {
-			spec := specAt(i)
-			out = append(out, sim.RunKernelPar(&spec, workers, gpu.DefaultEpoch))
-		}
-		return out
-	}
-
-	base := run(1)
-	for _, workers := range []int{2, 3, 5, 8} {
-		got := run(workers)
-		for i := range base {
-			if got[i] != base[i] {
-				t.Fatalf("workers=%d: kernel %d = %+v, serial %+v", workers, i, got[i], base[i])
-			}
-		}
-	}
-}
-
-// TestRunKernelParDegenerateOracleUnclamped is the degenerate-epoch oracle
-// under real concurrency: a non-finite or non-positive epoch means one epoch
-// spanning the whole kernel, which is DEFINED as the exact engine — so with
-// 8 live workers available the result must still be bit-identical to
-// RunKernel, kernel by kernel on warm simulators.
-func TestRunKernelParDegenerateOracleUnclamped(t *testing.T) {
-	unclampProcs(t, 8)
-	cfg := gpu.Baseline()
-	lim := kernelgen.DSELimits()
-	specAt := skewedSpecAt(lim)
-
-	par, err := gpu.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := gpu.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		spec := specAt(i)
-		epoch := []float64{0, -1, 0}[i%3]
-		got := par.RunKernelPar(&spec, 8, epoch)
-		want := exact.RunKernel(&spec)
-		if got != want {
-			t.Fatalf("kernel %d epoch=%v: %+v != RunKernel %+v", i, epoch, got, want)
-		}
-	}
-}
-
 // TestRunSegmentedStealingCachedDeterministicSkewed is the cached-path
 // variant: the committer publishes shared cache-owned slices (copy, never
 // alias) in segment order, and a second pass against the primed cache — all

@@ -1,7 +1,6 @@
 package gpu
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -133,73 +132,5 @@ func TestSegmentKeyCoversSpec(t *testing.T) {
 		if KeyForSegment(cfg, []kernelgen.Spec{ms}) == base {
 			t.Errorf("spec mutant not reflected in key: %+v", ms)
 		}
-	}
-}
-
-// TestSegmentKeyEngineExactMatchesLegacy pins that exact-mode engine keys
-// are byte-identical to the legacy KeyForSegment keys for every spelling of
-// "exact" — so every cache entry ever written by exact-mode runs (including
-// all pre-engine builds) stays addressable.
-func TestSegmentKeyEngineExactMatchesLegacy(t *testing.T) {
-	cfg := Baseline()
-	specs := []kernelgen.Spec{segKeyTestSpec()}
-	legacy := KeyForSegment(cfg, specs)
-	for _, eng := range []Engine{
-		{},
-		{Mode: EngineModeExact},
-		// Workers/Epoch are ignored in exact mode: they cannot change
-		// results, so they must not change keys either.
-		{Mode: EngineModeExact, Workers: 8, Epoch: 256},
-	} {
-		if k := KeyForSegmentEngine(cfg, specs, eng); k != legacy {
-			t.Fatalf("exact engine %+v key %s != legacy %s", eng, k, legacy)
-		}
-	}
-}
-
-// TestSegmentKeyEngineSeparation pins the cache-honesty contract of the
-// two-mode engine: relaxed-sync results are keyed under a distinct
-// fingerprint and by epoch, so exact and par entries can never collide in
-// any cache tier, while the worker count — which cannot change results —
-// is excluded from the key.
-func TestSegmentKeyEngineSeparation(t *testing.T) {
-	cfg := Baseline()
-	specs := []kernelgen.Spec{segKeyTestSpec()}
-	exact := KeyForSegment(cfg, specs)
-	par := KeyForSegmentEngine(cfg, specs, Engine{Mode: EngineModePar})
-	if par == exact {
-		t.Fatal("par-mode key equals exact key: caches would mix engine modes")
-	}
-	// Epoch 0 normalizes to DefaultEpoch: same key as the explicit default.
-	if k := KeyForSegmentEngine(cfg, specs, Engine{Mode: EngineModePar, Epoch: DefaultEpoch}); k != par {
-		t.Fatalf("par epoch=0 key %s != epoch=DefaultEpoch key %s", par, k)
-	}
-	// A different epoch is a different result — and must be a different key.
-	if k := KeyForSegmentEngine(cfg, specs, Engine{Mode: EngineModePar, Epoch: 2 * DefaultEpoch}); k == par {
-		t.Fatal("par-mode key ignores epoch")
-	}
-	// Worker count is partitioning, not content: keys must not depend on it.
-	for _, w := range []int{1, 4, 16} {
-		if k := KeyForSegmentEngine(cfg, specs, Engine{Mode: EngineModePar, Workers: w}); k != par {
-			t.Fatalf("par-mode key depends on worker count %d", w)
-		}
-	}
-}
-
-// TestEngineValidate pins mode/epoch validation at the Engine level.
-func TestEngineValidate(t *testing.T) {
-	for _, eng := range []Engine{{}, {Mode: "exact"}, {Mode: "par"}, {Mode: "par", Workers: 4, Epoch: 128}} {
-		if err := eng.Validate(); err != nil {
-			t.Errorf("Validate(%+v) = %v, want nil", eng, err)
-		}
-	}
-	if err := (Engine{Mode: "fast"}).Validate(); err == nil {
-		t.Error("unknown mode accepted")
-	}
-	if err := (Engine{Mode: "par", Epoch: math.Inf(1)}).Validate(); err == nil {
-		t.Error("infinite epoch accepted")
-	}
-	if err := (Engine{Mode: "par", Epoch: math.NaN()}).Validate(); err == nil {
-		t.Error("NaN epoch accepted")
 	}
 }

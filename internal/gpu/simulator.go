@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"stemroot/internal/kernelgen"
-	"stemroot/internal/metrics"
 	"stemroot/internal/parallel"
 )
 
@@ -49,24 +48,7 @@ type Simulator struct {
 	heap        warpHeap
 	warps       []warpState // slot arena; heap entries index into it
 	freeSlots   []int32
-
-	// par is the relaxed-sync engine's scratch (per-SM shards + merge
-	// cursors), allocated lazily on the first RunKernelPar call and fully
-	// re-initialized at the start of every parallel kernel — see parkernel.go.
-	par *parEngine
-
-	// barrier, when non-nil, receives one epoch-barrier accounting sample
-	// per RunKernelPar kernel (epoch count, compute/merge wall-clock split,
-	// replayed-access and miss counts). Pure observability: it changes no
-	// simulation result and is excluded from all cache keys. Nil disables
-	// collection, including the per-phase timestamps.
-	barrier *metrics.BarrierCollector
 }
-
-// SetBarrierCollector installs (or, with nil, removes) the epoch-barrier
-// accounting sink. Call between kernels, from the goroutine that owns the
-// Simulator.
-func (s *Simulator) SetBarrierCollector(c *metrics.BarrierCollector) { s.barrier = c }
 
 // New validates the configuration and returns a simulator with cold caches.
 func New(cfg Config) (*Simulator, error) {
@@ -565,10 +547,12 @@ type segScratch struct {
 	keyBuf []byte
 }
 
-// segmentKey materializes segment sg's specs into the scratch and derives
-// its content address under the engine mode. The returned spec slice aliases
-// the scratch and is valid until the next call on the same scratch.
-func (sc *segScratch) segmentKey(cfg Config, n, sg, segLen int, specAt func(i int) kernelgen.Spec, eng Engine) (SegmentKey, []kernelgen.Spec) {
+// segmentKey materializes segment sg's specs into the scratch and returns
+// them with the segment's content address: keys[sg] when the prefetch pass
+// already derived it (keys non-nil), otherwise derived here. The returned
+// spec slice aliases the scratch and is valid until the next call on the
+// same scratch.
+func (sc *segScratch) segmentKey(cfg Config, n, sg, segLen int, specAt func(i int) kernelgen.Spec, keys []SegmentKey) (SegmentKey, []kernelgen.Spec) {
 	lo := sg * segLen
 	hi := lo + segLen
 	if hi > n {
@@ -579,29 +563,12 @@ func (sc *segScratch) segmentKey(cfg Config, n, sg, segLen int, specAt func(i in
 		specs = append(specs, specAt(i))
 	}
 	sc.specs = specs
+	if keys != nil {
+		return keys[sg], specs
+	}
 	var key SegmentKey
-	key, sc.keyBuf = KeyForSegmentEngineAppend(sc.keyBuf, cfg, specs, eng)
+	key, sc.keyBuf = KeyForSegmentAppend(sc.keyBuf, cfg, specs)
 	return key, specs
-}
-
-// segmentKeyCached is segmentKey reusing a precomputed key when the prefetch
-// pass already derived it (keys non-nil); the specs are still materialized —
-// the compute-on-miss closure needs them.
-func (sc *segScratch) segmentKeyCached(cfg Config, n, sg, segLen int, specAt func(i int) kernelgen.Spec, keys []SegmentKey, eng Engine) (SegmentKey, []kernelgen.Spec) {
-	if keys == nil {
-		return sc.segmentKey(cfg, n, sg, segLen, specAt, eng)
-	}
-	lo := sg * segLen
-	hi := lo + segLen
-	if hi > n {
-		hi = n
-	}
-	specs := sc.specs[:0]
-	for i := lo; i < hi; i++ {
-		specs = append(specs, specAt(i))
-	}
-	sc.specs = specs
-	return keys[sg], specs
 }
 
 // RunSegmentedCached is RunSegmentedFunc with a content-addressed segment
@@ -625,33 +592,9 @@ func (sc *segScratch) segmentKeyCached(cfg Config, n, sg, segLen int, specAt fun
 // Cached result slices are shared between callers; results are copied into
 // the returned slice, never mutated in place.
 func RunSegmentedCached(cfg Config, n int, specAt func(i int) kernelgen.Spec, segLen, workers int, cache SegmentCache) ([]KernelResult, float64, error) {
-	return RunSegmentedEngine(cfg, n, specAt, segLen, workers, cache, Engine{})
-}
-
-// RunSegmentedEngine is RunSegmentedCached with an explicit execution mode:
-// each kernel of each segment runs under eng — the exact engine (RunKernel,
-// the zero Engine) or the relaxed-sync parallel engine (RunKernelPar with
-// eng.Workers intra-kernel workers at eng.Epoch cycles per epoch). Segment
-// cache keys are engine-aware (KeyForSegmentEngine): exact-mode keys are
-// byte-identical to the legacy KeyForSegment keys, par-mode keys carry
-// ParEngineFingerprint plus the epoch, so the two modes never share cache
-// entries. Determinism is unchanged in both modes: results are bit-identical
-// for every segment-worker count AND every eng.Workers value — only
-// eng.Mode and eng.Epoch affect output.
-//
-// In par mode the two worker counts compose: `workers` segment workers each
-// run kernels that internally fan out over eng.Workers SM-shard workers
-// (the -j / -jkernel split on the CLIs). For workloads with many segments,
-// segment workers alone saturate cores; eng.Workers pays off for single-
-// kernel latency and short workloads.
-func RunSegmentedEngine(cfg Config, n int, specAt func(i int) kernelgen.Spec, segLen, workers int, cache SegmentCache, eng Engine) ([]KernelResult, float64, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, 0, err
 	}
-	if err := eng.Validate(); err != nil {
-		return nil, 0, err
-	}
-	eng = eng.normalized()
 	if segLen <= 0 {
 		segLen = DefaultSegmentLen
 	}
@@ -699,7 +642,7 @@ func RunSegmentedEngine(cfg Config, n int, specAt func(i int) kernelgen.Spec, se
 			spec := &scratch[worker]
 			for i := lo; i < hi; i++ {
 				*spec = specAt(i)
-				results[i] = eng.runKernel(sim, spec)
+				results[i] = sim.RunKernel(spec)
 			}
 			committer.commit(sg, nil)
 		})
@@ -730,7 +673,7 @@ func RunSegmentedEngine(cfg Config, n int, specAt func(i int) kernelgen.Spec, se
 			keys = make([]SegmentKey, nseg)
 			sc := &scratch[0]
 			for sg := 0; sg < nseg; sg++ {
-				keys[sg], _ = sc.segmentKey(cfg, n, sg, segLen, specAt, eng)
+				keys[sg], _ = sc.segmentKey(cfg, n, sg, segLen, specAt, nil)
 			}
 			bp.Prefetch(keys)
 		}
@@ -738,12 +681,12 @@ func RunSegmentedEngine(cfg Config, n int, specAt func(i int) kernelgen.Spec, se
 		errs := make([]error, nseg)
 		parallel.ForEachStealing(nseg, nworkers, func(worker, sg int) {
 			sc := &scratch[worker]
-			key, specs := sc.segmentKeyCached(cfg, n, sg, segLen, specAt, keys, eng)
+			key, specs := sc.segmentKey(cfg, n, sg, segLen, specAt, keys)
 			seg, err := cache.GetOrCompute(key, func() ([]KernelResult, error) {
 				sim := simFor(worker)
 				out := make([]KernelResult, len(specs))
 				for i := range specs {
-					out[i] = eng.runKernel(sim, &specs[i])
+					out[i] = sim.RunKernel(&specs[i])
 				}
 				return out, nil
 			})
@@ -751,7 +694,7 @@ func RunSegmentedEngine(cfg Config, n int, specAt func(i int) kernelgen.Spec, se
 			committer.commit(sg, seg)
 		})
 		// Report the error of the lowest-indexed failing segment, matching
-		// parallel.Map's worker-count-independent error contract.
+		// parallel.MapStealing's worker-count-independent error contract.
 		for _, err := range errs {
 			if err != nil {
 				return nil, 0, err

@@ -89,56 +89,6 @@ func TestSampledSimDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestFullSimParEngineDeterministic pins the composed determinism contract
-// at the pipeline layer: under Engine "par", FullSimOpt is bit-identical for
-// every (segment workers, intra-kernel workers) combination at a fixed
-// epoch — and differs from the exact engine somewhere, so the comparison is
-// not vacuous.
-func TestFullSimParEngineDeterministic(t *testing.T) {
-	unclampProcs(t)
-	w := dseWorkload(t, "heartwall", 30)
-	cfg := gpu.Baseline()
-	lim := kernelgen.DSELimits()
-
-	exact, err := FullSimOpt(w, cfg, lim, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := FullSimOpt(w, cfg, lim, Options{Workers: 1, Engine: gpu.EngineModePar, KernelWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := false
-	for i := range base {
-		if base[i] != exact[i] {
-			diff = true
-			break
-		}
-	}
-	if !diff {
-		t.Fatal("par and exact cycles identical on every invocation — engine switch is vacuous")
-	}
-	for _, workers := range []int{2, 4} {
-		for _, jkernel := range []int{2, 8} {
-			got, err := FullSimOpt(w, cfg, lim, Options{
-				Workers: workers, Engine: gpu.EngineModePar, KernelWorkers: jkernel,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range base {
-				if got[i] != base[i] {
-					t.Fatalf("j=%d jkernel=%d: invocation %d = %v, base %v",
-						workers, jkernel, i, got[i], base[i])
-				}
-			}
-		}
-	}
-	if _, err := FullSimOpt(w, cfg, lim, Options{Engine: "fast"}); err == nil {
-		t.Fatal("unknown engine mode accepted by the pipeline")
-	}
-}
-
 // TestRunDeterministicAcrossWorkers runs the whole profile->plan->simulate->
 // estimate pipeline and compares every Outcome field bit for bit.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {

@@ -31,7 +31,6 @@ import (
 	"stemroot/internal/gpu"
 	"stemroot/internal/hwmodel"
 	"stemroot/internal/kernelgen"
-	"stemroot/internal/metrics"
 	"stemroot/internal/sampling"
 	"stemroot/internal/trace"
 )
@@ -59,40 +58,6 @@ type Options struct {
 	// Sharing one cache across FullSimOpt/SampledSimOpt/RunOpt calls is the
 	// intended use. nil disables caching.
 	Cache gpu.SegmentCache
-	// Engine selects the kernel execution mode: "" or "exact" runs
-	// gpu.RunKernel (the default, today's bit-exact contract), "par" runs
-	// gpu.RunKernelPar — the relaxed-sync intra-kernel parallel engine, with
-	// KernelWorkers SM-shard workers advancing in Epoch-cycle windows.
-	// Results in par mode are deterministic for every Workers AND
-	// KernelWorkers value; only Engine and Epoch affect output, and the
-	// segment cache keys both (gpu.KeyForSegmentEngine), so exact and par
-	// results never share cache entries.
-	Engine string
-	// KernelWorkers is the intra-kernel worker count for the par engine
-	// (gpu.RunKernelPar); <= 0 selects one per CPU. Ignored in exact mode.
-	KernelWorkers int
-	// MergeWorkers is the par engine's epoch-barrier merge worker count
-	// (banked L2 replay); <= 0 follows KernelWorkers — one pool serves
-	// shard execution and the merge. Ignored in exact mode; like
-	// KernelWorkers, it can never change results and is excluded from
-	// segment cache keys.
-	MergeWorkers int
-	// Epoch is the par engine's epoch length in simulated cycles; <= 0
-	// selects gpu.DefaultEpoch. Ignored in exact mode.
-	Epoch float64
-	// BarrierStats, when non-nil, accumulates per-kernel epoch-barrier
-	// accounting (compute vs merge time, replayed accesses, misses) from
-	// par-mode runs. Observability only — no effect on results or keys.
-	BarrierStats *metrics.BarrierCollector
-}
-
-// engine maps the Options fields to the gpu.Engine value handed to
-// gpu.RunSegmentedEngine. Validation happens there (unknown modes error).
-func (o Options) engine() gpu.Engine {
-	return gpu.Engine{
-		Mode: o.Engine, Workers: o.KernelWorkers, MergeWorkers: o.MergeWorkers,
-		Epoch: o.Epoch, Barrier: o.BarrierStats,
-	}
 }
 
 // specsOf returns a spec generator for a workload subset: position i maps
@@ -124,7 +89,7 @@ func FullSimOpt(w *trace.Workload, cfg gpu.Config, lim kernelgen.Limits, opt Opt
 	for i := range indices {
 		indices[i] = i
 	}
-	results, _, err := gpu.RunSegmentedEngine(cfg, len(indices), specsOf(w, lim, indices), opt.SegmentLen, opt.Workers, opt.Cache, opt.engine())
+	results, _, err := gpu.RunSegmentedCached(cfg, len(indices), specsOf(w, lim, indices), opt.SegmentLen, opt.Workers, opt.Cache)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +116,7 @@ func SampledSimOpt(w *trace.Workload, cfg gpu.Config, lim kernelgen.Limits, indi
 			return nil, errors.New("pipeline: sample index out of range")
 		}
 	}
-	results, _, err := gpu.RunSegmentedEngine(cfg, len(indices), specsOf(w, lim, indices), opt.SegmentLen, opt.Workers, opt.Cache, opt.engine())
+	results, _, err := gpu.RunSegmentedCached(cfg, len(indices), specsOf(w, lim, indices), opt.SegmentLen, opt.Workers, opt.Cache)
 	if err != nil {
 		return nil, err
 	}

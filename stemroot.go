@@ -102,6 +102,15 @@ type Plan struct {
 	Epsilon, Confidence float64
 }
 
+// validTime is the library's one rule for a profiled time: finite and
+// non-negative. Sample and StreamPlanner both apply it and report a
+// violation with timeError, naming the 0-based invocation index.
+func validTime(t float64) bool { return t >= 0 && !math.IsInf(t, 1) }
+
+func timeError(t float64, i int) error {
+	return fmt.Errorf("stemroot: time %v at invocation %d must be finite and non-negative", t, i)
+}
+
 // Sample builds a STEM+ROOT sampling plan from a kernel-level profile:
 // names[i] and timesUS[i] describe invocation i of the workload in
 // chronological order. Times must be finite and non-negative; the two
@@ -114,8 +123,8 @@ func Sample(names []string, timesUS []float64, opts Options) (*Plan, error) {
 		return nil, fmt.Errorf("stemroot: %d names for %d times", len(names), len(timesUS))
 	}
 	for i, t := range timesUS {
-		if !(t >= 0) || math.IsInf(t, 1) {
-			return nil, fmt.Errorf("stemroot: time %v at invocation %d must be finite and non-negative", t, i)
+		if !validTime(t) {
+			return nil, timeError(t, i)
 		}
 	}
 	p := opts.params()

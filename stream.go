@@ -84,9 +84,15 @@ func convertStreamPlan(cp *core.Plan, p core.Params) *Plan {
 // are re-derived on an amortized schedule (see StreamOptions), so per-
 // invocation cost stays O(1). A StreamPlanner must be confined to one
 // goroutine.
+//
+// Times must be finite and non-negative, as in Sample. The first
+// invocation that breaks it is recorded as a sticky error naming its 0-based
+// index; that invocation and every later one are dropped, and Plan,
+// CurrentPlan and Snapshot return the error from then on.
 type StreamPlanner struct {
-	ip *core.IncrementalPlanner
-	p  core.Params
+	ip  *core.IncrementalPlanner
+	p   core.Params
+	err error
 }
 
 // NewStreamPlanner validates the options and returns an empty planner.
@@ -100,12 +106,34 @@ func NewStreamPlanner(opts Options, sopts StreamOptions) (*StreamPlanner, error)
 }
 
 // Add ingests one invocation.
-func (sp *StreamPlanner) Add(name string, timeUS float64) { sp.ip.Add(name, timeUS) }
+func (sp *StreamPlanner) Add(name string, timeUS float64) {
+	if sp.accept(timeUS) {
+		sp.ip.Add(name, timeUS)
+	}
+}
 
 // AddBytes ingests one invocation with a []byte kernel name, allocating
 // only the first time a name is seen (interned in a byte-keyed symbol
 // table) — the steady state is allocation-free.
-func (sp *StreamPlanner) AddBytes(name []byte, timeUS float64) { sp.ip.AddBytes(name, timeUS) }
+func (sp *StreamPlanner) AddBytes(name []byte, timeUS float64) {
+	if sp.accept(timeUS) {
+		sp.ip.AddBytes(name, timeUS)
+	}
+}
+
+// accept reports whether an invocation may be ingested: no earlier one was
+// rejected and its time is valid. Every accepted invocation is ingested, so
+// the index of the first rejected one is the ingested count.
+func (sp *StreamPlanner) accept(timeUS float64) bool {
+	if sp.err != nil {
+		return false
+	}
+	if !validTime(timeUS) {
+		sp.err = timeError(timeUS, sp.ip.Count())
+		return false
+	}
+	return true
+}
 
 // Count returns the number of invocations ingested.
 func (sp *StreamPlanner) Count() int { return sp.ip.Count() }
@@ -123,6 +151,9 @@ func (sp *StreamPlanner) Replans() int { return sp.ip.Replans() }
 // it only when the amortized schedule says the cached one is stale.
 // Cluster sample indices are invocation positions in the stream (0-based).
 func (sp *StreamPlanner) CurrentPlan() (*Plan, error) {
+	if sp.err != nil {
+		return nil, sp.err
+	}
 	cp, err := sp.ip.CurrentPlan()
 	if err != nil {
 		return nil, err
@@ -134,6 +165,9 @@ func (sp *StreamPlanner) CurrentPlan() (*Plan, error) {
 // is deterministic in (stream, seed): forcing extra re-plans never changes
 // the final plan.
 func (sp *StreamPlanner) Plan() (*Plan, error) {
+	if sp.err != nil {
+		return nil, sp.err
+	}
 	cp, err := sp.ip.Plan()
 	if err != nil {
 		return nil, err
@@ -164,6 +198,9 @@ type Snapshot struct {
 // Snapshot returns the rolling summary, re-deriving the plan only if the
 // amortized schedule requires it.
 func (sp *StreamPlanner) Snapshot() (Snapshot, error) {
+	if sp.err != nil {
+		return Snapshot{}, sp.err
+	}
 	cp, err := sp.ip.CurrentPlan()
 	if err != nil {
 		return Snapshot{}, err

@@ -2,6 +2,7 @@ package stemroot
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -64,6 +65,47 @@ func TestSampleStreamErrors(t *testing.T) {
 	names, times := syntheticProfile(100, 10)
 	if _, err := SampleStream(sliceScanner{names, times}, Options{Epsilon: 5}, StreamOptions{}); err == nil {
 		t.Fatal("expected bad-epsilon error")
+	}
+
+	// The single-pass planner's ingest boundary: after 200 valid
+	// invocations, one time that is NaN, infinite or negative becomes a
+	// sticky error naming its 0-based index, through both Add and AddBytes,
+	// and Plan, CurrentPlan and Snapshot all return it — even after further
+	// valid invocations.
+	names, times = syntheticProfile(200, 15)
+	const want = "stemroot: time %v at invocation 200 must be finite and non-negative"
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -5} {
+		for _, viaBytes := range []bool{false, true} {
+			sp, err := NewStreamPlanner(Options{}, StreamOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			add := func(name string, tm float64) {
+				if viaBytes {
+					sp.AddBytes([]byte(name), tm)
+				} else {
+					sp.Add(name, tm)
+				}
+			}
+			for i := range names {
+				add(names[i], times[i])
+			}
+			add(names[0], bad)
+			add(names[1], times[1])
+			wantErr := fmt.Sprintf(want, bad)
+			if _, err := sp.Plan(); err == nil || err.Error() != wantErr {
+				t.Fatalf("time %v bytes=%v: Plan err = %v, want %q", bad, viaBytes, err, wantErr)
+			}
+			if _, err := sp.CurrentPlan(); err == nil || err.Error() != wantErr {
+				t.Fatalf("time %v bytes=%v: CurrentPlan err = %v", bad, viaBytes, err)
+			}
+			if _, err := sp.Snapshot(); err == nil || err.Error() != wantErr {
+				t.Fatalf("time %v bytes=%v: Snapshot err = %v", bad, viaBytes, err)
+			}
+			if sp.Count() != 200 {
+				t.Fatalf("time %v bytes=%v: ingested %d invocations, want 200", bad, viaBytes, sp.Count())
+			}
+		}
 	}
 }
 
